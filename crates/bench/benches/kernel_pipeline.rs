@@ -1,13 +1,14 @@
 //! Criterion benchmarks of the kernel-level pipeline: Gram assembly,
-//! distribution strategies, the SVM solve, and the classical baseline.
+//! the multi-rank driver's distribution strategies, the SVM solve, and
+//! the classical baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qk_bench::sample_rows;
 use qk_circuit::AnsatzConfig;
-use qk_core::distributed::{distributed_gram, Strategy};
 use qk_core::gram::gram_matrix;
 use qk_core::states::simulate_states;
 use qk_data::{generate, prepare_experiment, SyntheticConfig};
+use qk_gram::{rank_distributed_gram, RankConfig, Strategy};
 use qk_mps::TruncationConfig;
 use qk_svm::{gaussian_gram, scale_bandwidth, train_svc, SmoParams};
 use qk_tensor::backend::CpuBackend;
@@ -36,41 +37,25 @@ fn bench_distribution_strategies(c: &mut Criterion) {
     let tc = TruncationConfig::default();
     let ansatz = AnsatzConfig::qml_default();
     let rows = sample_rows(32, 16, 62);
+    let root = std::env::temp_dir().join(format!("qk-bench-strategy-{}", std::process::id()));
     for strategy in [Strategy::NoMessaging, Strategy::RoundRobin] {
+        let cfg = RankConfig {
+            strategy,
+            ..RankConfig::new(4, 8, &root)
+        };
         group.bench_with_input(
             BenchmarkId::new(format!("{strategy:?}"), 4),
             &strategy,
-            |bch, &strategy| {
-                bch.iter(|| distributed_gram(&rows, &ansatz, &cpu, &tc, 4, strategy));
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_inference_block_strategies(c: &mut Criterion) {
-    // Rectangular-kernel distribution (Sec. II-D's inference case):
-    // circulating the small test partitions (round-robin) vs redundant
-    // simulation (no-messaging).
-    use qk_core::distributed_inference::distributed_kernel_block;
-    let mut group = c.benchmark_group("inference_block_strategy");
-    group.sample_size(10);
-    let cpu = CpuBackend::new();
-    let tc = TruncationConfig::default();
-    let ansatz = AnsatzConfig::qml_default();
-    let train = sample_rows(32, 16, 63);
-    let test = sample_rows(8, 16, 64);
-    for strategy in [Strategy::NoMessaging, Strategy::RoundRobin] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{strategy:?}"), 4),
-            &strategy,
-            |bch, &strategy| {
+            |bch, _| {
                 bch.iter(|| {
-                    distributed_kernel_block(&test, &train, &ansatz, &cpu, &tc, 4, strategy)
+                    // A fresh root per run, so no run restores the last.
+                    let _ = std::fs::remove_dir_all(&root);
+                    rank_distributed_gram(&rows, &ansatz, &cpu, &tc, &cfg)
                 });
             },
         );
     }
+    let _ = std::fs::remove_dir_all(&root);
     group.finish();
 }
 
@@ -112,7 +97,6 @@ criterion_group!(
     benches,
     bench_gram_assembly,
     bench_distribution_strategies,
-    bench_inference_block_strategies,
     bench_svm_solve,
     bench_gaussian_kernel
 );

@@ -129,8 +129,6 @@ fn smoke(args: &Args) {
     let trunc = TruncationConfig::default();
     let be = CpuBackend::new();
     let rows = sample_rows(n, features, 11);
-    let states = simulate_states(&rows, &ansatz, &be, &trunc).states;
-    let encoding = encoding_fingerprint(&ansatz, &trunc);
 
     let trace_dir = args.get("trace-dir").map(PathBuf::from);
     if let Some(d) = &trace_dir {
@@ -139,9 +137,13 @@ fn smoke(args: &Args) {
     let tracer = trace_dir.as_ref().map(|_| Tracer::new());
 
     if args.get_or("ranks", 1usize) > 1 {
-        rank_drill(args, dir, chaos, encoding, &states, &be, tracer, trace_dir);
+        rank_drill(
+            args, dir, chaos, &rows, &ansatz, &trunc, &be, tracer, trace_dir,
+        );
         return;
     }
+    let states = simulate_states(&rows, &ansatz, &be, &trunc).states;
+    let encoding = encoding_fingerprint(&ansatz, &trunc);
 
     let mut cfg = GramConfig::checkpointed(&dir, tile, encoding);
     cfg.workers = workers;
@@ -212,30 +214,30 @@ fn smoke(args: &Args) {
     result.write();
 }
 
-/// Rank-death drill: run the simulated-MPI rank driver instead of the
-/// engine, optionally killing ranks via the armed plan, and dump the
+/// Rank-death drill: run the multi-rank driver (round-robin) instead of
+/// the engine, optionally killing ranks via the armed plan, and dump the
 /// same `--out` byte format so CI can `cmp` against a clean run.
 #[allow(clippy::too_many_arguments)]
 fn rank_drill(
     args: &Args,
     dir: PathBuf,
     chaos: Chaos,
-    encoding: u64,
-    states: &[qk_mps::Mps],
+    rows: &[Vec<f64>],
+    ansatz: &AnsatzConfig,
+    trunc: &TruncationConfig,
     be: &CpuBackend,
     tracer: Option<Tracer>,
     trace_dir: Option<PathBuf>,
 ) {
-    let n = states.len();
+    let n = rows.len();
     let tile = args.get_or("tile", 8usize);
     let ranks = args.get_or("ranks", 1usize);
     let mut cfg = RankConfig::new(ranks, tile, &dir);
-    cfg.encoding = encoding;
     cfg.chaos = chaos;
     cfg.hb_timeout = Duration::from_millis(args.get_or("hb-timeout-ms", 300u64));
     cfg.obs_dir = args.get("obs-dir").map(PathBuf::from);
     cfg.trace = tracer.clone();
-    let out = rank_distributed_gram(states, be, &cfg);
+    let out = rank_distributed_gram(rows, ansatz, be, trunc, &cfg);
     finish_trace(tracer.as_ref(), trace_dir.as_ref());
     let rep = &out.report;
     println!(

@@ -13,12 +13,12 @@
 //! in prose — and is validated in two ways: the tests reproduce the
 //! paper's published forecasts from the paper's own per-primitive costs,
 //! and [`PrimitiveCosts::from_distributed`] calibrates the model from a
-//! measured [`DistributedResult`] so a forecast can be checked against
-//! the run that produced it.
+//! measured [`qk_gram::rank_distributed_gram`] run so a forecast can be
+//! checked against the run that produced it.
 
-use crate::distributed::{DistributedResult, Strategy};
 use crate::states::simulate_states_serial;
 use qk_circuit::AnsatzConfig;
+use qk_gram::{RankReport, Strategy};
 use qk_mps::TruncationConfig;
 use qk_tensor::backend::ExecutionBackend;
 use serde::{Deserialize, Serialize};
@@ -94,26 +94,26 @@ impl PrimitiveCosts {
     }
 
     /// Recovers per-primitive costs from a measured distributed run on
-    /// `n` data points: total phase time across processes divided by the
+    /// `n` data points: total phase time across ranks divided by the
     /// number of primitives that phase executed.
-    pub fn from_distributed(result: &DistributedResult, n: usize) -> Self {
-        let total = |f: fn(&crate::distributed::ProcessTimes) -> Duration| {
-            result.per_process.iter().map(f).sum::<Duration>()
+    pub fn from_distributed(report: &RankReport, n: usize) -> Self {
+        let total = |f: fn(&qk_gram::RankSummary) -> Duration| {
+            report.per_rank.iter().map(f).sum::<Duration>()
         };
         let pairs = (n * (n.saturating_sub(1))) / 2 + n; // off-diagonal + diagonal
-        let sims = result.simulations_run.max(1);
+        let sims = report.per_rank.iter().map(|r| r.simulations).sum::<u64>();
         PrimitiveCosts {
-            simulation: total(|p| p.simulation).div_f64(sims as f64),
-            inner_product: total(|p| p.inner_products).div_f64(pairs as f64),
+            simulation: total(|r| r.simulation_time).div_f64(sims.max(1) as f64),
+            inner_product: total(|r| r.inner_product_time).div_f64(pairs as f64),
             // Bytes shipped don't tell us the state count directly; fold
             // the whole communication bill into a per-state figure using
             // the round-robin schedule's state-transfer count.
-            communication_per_state: if result.bytes_communicated == 0 {
+            communication_per_state: if report.per_rank.iter().all(|r| r.bytes_sent == 0) {
                 Duration::ZERO
             } else {
-                let k = result.per_process.len();
+                let k = report.per_rank.len();
                 let transfers = round_robin_transfers(n, k).max(1);
-                total(|p| p.communication).div_f64(transfers as f64)
+                total(|r| r.communication_time).div_f64(transfers as f64)
             },
         }
     }
@@ -257,7 +257,6 @@ pub fn processes_for_deadline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::distributed_gram;
     use qk_data::{generate, prepare_experiment, SyntheticConfig};
     use qk_tensor::backend::CpuBackend;
 
@@ -379,19 +378,21 @@ mod tests {
         let trunc = TruncationConfig::default();
         let be = CpuBackend::new();
         let k = 4;
-        let run = distributed_gram(
+        let root = std::env::temp_dir().join(format!("qk-core-forecast-{}", std::process::id()));
+        let run = qk_gram::rank_distributed_gram(
             &split.train.features,
             &ansatz,
             &be,
             &trunc,
-            k,
-            Strategy::RoundRobin,
-        );
+            &qk_gram::RankConfig::new(k, 8, &root),
+        )
+        .report;
+        let _ = std::fs::remove_dir_all(&root);
         let n = split.train.features.len();
         let costs = PrimitiveCosts::from_distributed(&run, n);
         let f = forecast_training(&costs, n, k, Strategy::RoundRobin);
 
-        let measured_sim: Duration = run.per_process.iter().map(|p| p.simulation).sum();
+        let measured_sim: Duration = run.per_rank.iter().map(|r| r.simulation_time).sum();
         let forecast_sim = f.simulation.mul_f64(k as f64);
         let rel = (forecast_sim.as_secs_f64() - measured_sim.as_secs_f64()).abs()
             / measured_sim.as_secs_f64().max(1e-12);

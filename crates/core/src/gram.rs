@@ -14,7 +14,6 @@
 
 use qk_gram::{GramConfig, GramEngine};
 use qk_mps::{Mps, ZipperWorkspace};
-use qk_obs::Obs;
 use qk_svm::{KernelBlock, KernelMatrix};
 use qk_tensor::backend::ExecutionBackend;
 use rayon::prelude::*;
@@ -96,42 +95,6 @@ pub fn gram_matrix(states: &[Mps], backend: &dyn ExecutionBackend) -> TimedKerne
     }
 }
 
-/// [`gram_matrix`] with observability: wraps the computation in
-/// `core_gram` spans (with a `tiled` / `small_n` child marking which
-/// path ran), counts inner products into `core.gram_inner_products`,
-/// and — on the delegated path — shares `obs` with the tiled engine so
-/// its `gram.*` instruments land in the same registry. The kernel is
-/// bitwise identical to an unobserved [`gram_matrix`] run.
-pub fn gram_matrix_observed(
-    states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    obs: &Obs,
-) -> TimedKernel {
-    let _gram_span = obs.span("core_gram");
-    let n = states.len();
-    let timed = if n >= TILED_THRESHOLD {
-        let _path_span = obs.span("tiled");
-        let engine = GramEngine::new(GramConfig {
-            obs: Some(obs.clone()),
-            ..GramConfig::in_memory(delegated_tile(n))
-        });
-        let out = engine
-            .compute_gram(states, backend)
-            .expect("in-memory tiled gram cannot fail: no checkpoint, no spill, no budget");
-        TimedKernel {
-            kernel: out.kernel.into_kernel_matrix(),
-            wall_time: out.report.wall_time,
-            inner_products: out.report.inner_products,
-        }
-    } else {
-        let _path_span = obs.span("small_n");
-        gram_matrix(states, backend)
-    };
-    obs.counter("core.gram_inner_products")
-        .add(timed.inner_products as u64);
-    timed
-}
-
 /// Maps a flat upper-triangle index to its `(i, j)` pair (`i < j`).
 ///
 /// Pairs are ordered row-major — `(0,1), (0,2), …, (0,n-1), (1,2), …` —
@@ -208,40 +171,6 @@ pub fn kernel_block(
         wall_time: start.elapsed(),
         inner_products: entries,
     }
-}
-
-/// [`kernel_block`] with observability — the block analogue of
-/// [`gram_matrix_observed`], with the same bitwise guarantee.
-pub fn kernel_block_observed(
-    test_states: &[Mps],
-    train_states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    obs: &Obs,
-) -> TimedBlock {
-    let _gram_span = obs.span("core_gram");
-    let entries = test_states.len() * train_states.len();
-    let timed = if entries >= TILED_THRESHOLD * TILED_THRESHOLD {
-        let _path_span = obs.span("tiled");
-        let tile = delegated_tile(test_states.len().max(train_states.len()));
-        let engine = GramEngine::new(GramConfig {
-            obs: Some(obs.clone()),
-            ..GramConfig::in_memory(tile)
-        });
-        let out = engine
-            .compute_block(test_states, train_states, backend)
-            .expect("in-memory tiled block cannot fail: no checkpoint, no spill, no budget");
-        TimedBlock {
-            block: out.block,
-            wall_time: out.report.wall_time,
-            inner_products: out.report.inner_products,
-        }
-    } else {
-        let _path_span = obs.span("small_n");
-        kernel_block(test_states, train_states, backend)
-    };
-    obs.counter("core.gram_inner_products")
-        .add(timed.inner_products as u64);
-    timed
 }
 
 #[cfg(test)]
@@ -461,52 +390,6 @@ mod tests {
                 assert!((timed.block.row(t)[s] - direct).abs() < 1e-10);
             }
         }
-    }
-
-    /// The observed wrappers must be pure observers: identical kernels
-    /// bit for bit on both the small-N path and the delegated tiled
-    /// path, with spans and counters landing in the caller's registry.
-    #[test]
-    fn observed_gram_is_bitwise_identical_on_both_paths() {
-        let be = CpuBackend::new();
-        for n in [7usize, TILED_THRESHOLD] {
-            let st = states(n, 3);
-            let plain = gram_matrix(&st, &be);
-            let obs = Obs::new();
-            let observed = gram_matrix_observed(&st, &be, &obs);
-            assert_eq!(plain.kernel.data(), observed.kernel.data(), "n={n}");
-            assert_eq!(plain.inner_products, observed.inner_products);
-            let snap = obs.registry_snapshot();
-            assert_eq!(
-                snap.counters["core.gram_inner_products"],
-                plain.inner_products as u64
-            );
-            let paths: Vec<String> = obs.span_rollup().into_iter().map(|e| e.path).collect();
-            assert!(paths.contains(&"core_gram".to_string()), "{paths:?}");
-            let child = if n >= TILED_THRESHOLD {
-                "core_gram/tiled"
-            } else {
-                "core_gram/small_n"
-            };
-            assert!(paths.contains(&child.to_string()), "{paths:?}");
-        }
-    }
-
-    #[test]
-    fn observed_block_is_bitwise_identical() {
-        let be = CpuBackend::new();
-        let train = states(5, 3);
-        let test = states(3, 3);
-        let plain = kernel_block(&test, &train, &be);
-        let obs = Obs::new();
-        let observed = kernel_block_observed(&test, &train, &be, &obs);
-        for r in 0..plain.block.rows() {
-            assert_eq!(plain.block.row(r), observed.block.row(r), "row {r}");
-        }
-        assert_eq!(
-            obs.registry_snapshot().counters["core.gram_inner_products"],
-            plain.inner_products as u64
-        );
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!   parallel (the linear-in-N half of the method).
 //! * [`gram`] — Gram-matrix assembly from pairwise inner products (the
 //!   quadratic-but-cheap half).
-//! * [`distributed`] — the paper's two multi-process strategies
-//!   (no-messaging and round-robin) with per-phase wall-clock accounting.
+//! * [`extrapolate`] — the paper's linear cost model for sizing a
+//!   cluster, calibrated from a measured run of the multi-rank driver
+//!   (`qk_gram::rank_distributed_gram`, which runs the paper's two
+//!   distribution strategies).
 //! * [`pipeline`] — end-to-end classification experiments, quantum and
 //!   Gaussian-baseline, with the `C in [0.01, 4]` sweep protocol.
 //!
@@ -28,28 +30,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod distributed;
-pub mod distributed_inference;
-pub mod distributed_mpi;
 pub mod extrapolate;
 pub mod gram;
 pub mod inference;
 pub mod pipeline;
 pub mod projected;
 pub mod states;
-pub mod timing;
 pub mod truncation_study;
 
-pub use distributed::{distributed_gram, DistributedResult, ProcessTimes, Strategy};
-pub use distributed_inference::{distributed_kernel_block, DistributedBlockResult};
-pub use distributed_mpi::mpi_distributed_gram;
 pub use extrapolate::{
     forecast_inference, forecast_training, processes_for_deadline, InferenceForecast,
     PrimitiveCosts, TrainingForecast,
 };
 pub use gram::{
-    flat_from_pair, gram_matrix, gram_matrix_observed, kernel_block, kernel_block_observed,
-    pair_from_flat, TimedBlock, TimedKernel, TILED_THRESHOLD,
+    flat_from_pair, gram_matrix, kernel_block, pair_from_flat, TimedBlock, TimedKernel,
+    TILED_THRESHOLD,
 };
 pub use inference::{InferenceTiming, ModelDecodeError, Prediction, QuantumKernelModel};
 pub use pipeline::{
@@ -58,7 +53,6 @@ pub use pipeline::{
 };
 pub use projected::{projected_block, projected_feature_batch, projected_gram};
 pub use states::{simulate_states, simulate_states_serial, StateBatch};
-pub use timing::{thread_cpu_time, PhaseClock};
 pub use truncation_study::{
     run_truncation_study, TruncationPoint, TruncationStudy, TruncationStudyConfig,
 };

@@ -4,12 +4,15 @@
 
 use proptest::prelude::*;
 use qk_circuit::AnsatzConfig;
-use qk_core::distributed::{distributed_gram, Strategy as DistStrategy};
 use qk_core::extrapolate::{forecast_training, PrimitiveCosts};
 use qk_core::gram::{flat_from_pair, gram_matrix, pair_from_flat};
 use qk_core::states::simulate_states;
+use qk_gram::{
+    rank_distributed_gram, GramConfig, GramEngine, RankConfig, Strategy as DistStrategy,
+};
 use qk_mps::TruncationConfig;
 use qk_tensor::backend::CpuBackend;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Feature rows in the rescaled (0, 2) domain the ansatz expects.
@@ -42,27 +45,30 @@ proptest! {
         }
     }
 
-    /// Round-robin and no-messaging produce the same kernel as the
-    /// single-process reference for any process count.
+    /// Round-robin and no-messaging produce the engine's kernel bit for
+    /// bit, for any rank count and tile edge.
     #[test]
-    fn distribution_strategies_agree(rows in rows_strategy(8, 3), k in 1usize..5) {
+    fn distribution_strategies_agree(rows in rows_strategy(8, 3), k in 1usize..6, tile in 1usize..5) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let be = CpuBackend::new();
         let ansatz = AnsatzConfig::new(2, 1, 0.5);
         let trunc = TruncationConfig::default();
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let reference = {
             let batch = simulate_states(&rows, &ansatz, &be, &trunc);
-            gram_matrix(&batch.states, &be).kernel
+            let engine = GramEngine::new(GramConfig::in_memory(3));
+            bits(engine.compute_gram(&batch.states, &be).unwrap().kernel.data())
         };
         for strategy in [DistStrategy::RoundRobin, DistStrategy::NoMessaging] {
-            let out = distributed_gram(&rows, &ansatz, &be, &trunc, k, strategy).kernel;
-            for i in 0..rows.len() {
-                for j in 0..rows.len() {
-                    prop_assert!(
-                        (out.get(i, j) - reference.get(i, j)).abs() < 1e-12,
-                        "{strategy:?} k={k} [{i}][{j}]"
-                    );
-                }
-            }
+            let root = std::env::temp_dir().join(format!(
+                "qk-proptest-distributed-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let cfg = RankConfig { strategy, ..RankConfig::new(k, tile, &root) };
+            let out = rank_distributed_gram(&rows, &ansatz, &be, &trunc, &cfg).kernel;
+            let _ = std::fs::remove_dir_all(&root);
+            prop_assert_eq!(bits(out.data()).as_slice(), reference.as_slice(), "{:?} k={} tile={}", strategy, k, tile);
         }
     }
 

@@ -27,10 +27,12 @@
 //!   dense copy.
 //! * [`metrics`] — progress, throughput and ETA counters in the same
 //!   style as `qk-serve`'s metrics surface.
-//! * [`rank`] — a rank-distributed drill over `qk-mpi` that survives
-//!   worker-rank death: heartbeat detection at the coordinator, orphaned
-//!   tiles adopted by survivors through the dead rank's checkpoint
-//!   directory.
+//! * [`rank`] — the one multi-rank Gram driver, over `qk-mpi` ranks:
+//!   the paper's distribution strategies ([`distributed`]: no-messaging
+//!   and round-robin, Fig. 4) with per-rank simulation, inner-product
+//!   and communication times ([`timing`]), surviving worker-rank death
+//!   through heartbeat detection at the coordinator and orphaned tiles
+//!   adopted by survivors through the dead rank's checkpoint directory.
 //!
 //! ## Quickstart
 //!
@@ -51,6 +53,7 @@
 
 pub mod checkpoint;
 pub mod config;
+pub mod distributed;
 pub mod engine;
 pub mod fingerprint;
 pub mod metrics;
@@ -58,10 +61,12 @@ pub mod rank;
 pub mod recompute;
 pub mod spill;
 pub mod tiles;
+pub mod timing;
 pub mod view;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, Manifest, TileLoad};
 pub use config::GramConfig;
+pub use distributed::Strategy;
 pub use engine::{BlockOutcome, GramEngine, GramError, GramOutcome, GramReport};
 pub use fingerprint::{encoding_fingerprint, fnv1a64, JobKind, JobSpec};
 pub use metrics::{GramMetrics, GramProgress};
@@ -69,4 +74,5 @@ pub use rank::{rank_distributed_gram, RankConfig, RankOutcome, RankReport, RankS
 pub use recompute::RecomputingRows;
 pub use spill::{SpillError, SpillStore};
 pub use tiles::{band_count, Tile, TilePlan};
+pub use timing::{thread_cpu_time, PhaseClock};
 pub use view::TiledKernel;

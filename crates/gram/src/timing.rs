@@ -1,9 +1,9 @@
-//! Per-thread CPU-time measurement for the distribution strategies.
+//! Per-thread CPU-time measurement for the rank driver's phase times.
 //!
 //! The paper's Fig. 8 timings come from MPI ranks that each own physical
-//! cores. Our simulated processes are threads that may share cores, so
-//! phase times measured on the wall clock would conflate a process's own
-//! work with time spent descheduled. [`PhaseClock`] therefore measures
+//! cores. Our simulated ranks are threads that may share cores, so
+//! phase times measured on the wall clock (as trace stamps are) would
+//! conflate a rank's own work with time spent descheduled. [`PhaseClock`] therefore measures
 //! the calling thread's *CPU time* where the platform exposes it (Linux
 //! `/proc/thread-self/schedstat`, nanosecond resolution) and falls back
 //! to wall-clock elsewhere. On a host with one core per process the two

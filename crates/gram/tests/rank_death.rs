@@ -5,7 +5,7 @@
 
 use qk_chaos::FaultPlan;
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
-use qk_gram::{rank_distributed_gram, GramConfig, GramEngine, RankConfig};
+use qk_gram::{rank_distributed_gram, GramConfig, GramEngine, RankConfig, RankOutcome, Strategy};
 use qk_mps::{Mps, MpsSimulator, TruncationConfig};
 use qk_tensor::backend::CpuBackend;
 use std::path::PathBuf;
@@ -21,27 +21,43 @@ fn scratch(tag: &str) -> PathBuf {
     ))
 }
 
-fn states(n: usize, features: usize) -> Vec<Mps> {
-    let be = CpuBackend::new();
-    let ansatz = AnsatzConfig::new(2, 1, 0.7);
-    let trunc = TruncationConfig::default();
+fn ansatz() -> AnsatzConfig {
+    AnsatzConfig::new(2, 1, 0.7)
+}
+
+fn rows(n: usize, features: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|i| {
-            let row: Vec<f64> = (0..features)
+            (0..features)
                 .map(|j| ((i * features + j) % 9) as f64 * 0.22)
-                .collect();
-            MpsSimulator::new(&be)
-                .with_truncation(trunc)
-                .simulate(&feature_map_circuit(&row, &ansatz))
-                .0
+                .collect()
         })
         .collect()
 }
 
-fn clean_kernel(st: &[Mps]) -> Vec<f64> {
+fn clean_kernel_with(rows: &[Vec<f64>], ansatz: &AnsatzConfig) -> Vec<f64> {
+    let be = CpuBackend::new();
+    let st: Vec<Mps> = rows
+        .iter()
+        .map(|row| {
+            MpsSimulator::new(&be)
+                .with_truncation(TruncationConfig::default())
+                .simulate(&feature_map_circuit(row, ansatz))
+                .0
+        })
+        .collect();
     let engine = GramEngine::new(GramConfig::in_memory(3));
-    let out = engine.compute_gram(st, &CpuBackend::new()).unwrap();
+    let out = engine.compute_gram(&st, &be).unwrap();
     out.kernel.data().to_vec()
+}
+
+fn clean_kernel(rows: &[Vec<f64>]) -> Vec<f64> {
+    clean_kernel_with(rows, &ansatz())
+}
+
+fn run(rows: &[Vec<f64>], cfg: &RankConfig) -> RankOutcome {
+    let be = CpuBackend::new();
+    rank_distributed_gram(rows, &ansatz(), &be, &TruncationConfig::default(), cfg)
 }
 
 fn drill_config(ranks: usize, dir: &PathBuf) -> RankConfig {
@@ -50,16 +66,19 @@ fn drill_config(ranks: usize, dir: &PathBuf) -> RankConfig {
         // the death-detection wait out of the test budget while still
         // being ~100x a tile.
         hb_timeout: Duration::from_millis(150),
+        // The tile-ownership counts below are no-messaging's group-pair
+        // deal: off-diagonal pairs first, then the diagonal ones.
+        strategy: Strategy::NoMessaging,
         ..RankConfig::new(ranks, 3, dir)
     }
 }
 
 #[test]
 fn clean_run_matches_single_process_bitwise() {
-    let st = states(10, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(10, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("clean");
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &drill_config(3, &dir));
+    let out = run(&data, &drill_config(3, &dir));
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, Vec::<usize>::new());
     assert_eq!(out.report.tiles_adopted, 0);
@@ -72,14 +91,14 @@ fn clean_run_matches_single_process_bitwise() {
 
 #[test]
 fn dead_rank_tiles_are_adopted_bitwise() {
-    let st = states(10, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(10, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("one-death");
     let cfg = RankConfig {
         chaos: FaultPlan::new(11).kill_rank(1, 1).arm(),
         ..drill_config(3, &dir)
     };
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    let out = run(&data, &cfg);
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, vec![1]);
     assert!(out.report.per_rank[1].died);
@@ -93,14 +112,14 @@ fn dead_rank_tiles_are_adopted_bitwise() {
 
 #[test]
 fn immediate_death_recomputes_everything_orphaned() {
-    let st = states(10, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(10, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("early-death");
     let cfg = RankConfig {
         chaos: FaultPlan::new(12).kill_rank(2, 0).arm(),
         ..drill_config(3, &dir)
     };
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    let out = run(&data, &cfg);
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, vec![2]);
     assert_eq!(out.report.per_rank[2].tiles_completed, 0);
@@ -112,14 +131,14 @@ fn immediate_death_recomputes_everything_orphaned() {
 
 #[test]
 fn multiple_deaths_still_complete() {
-    let st = states(9, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(9, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("two-deaths");
     let cfg = RankConfig {
         chaos: FaultPlan::new(13).kill_rank(1, 1).kill_rank(3, 0).arm(),
         ..drill_config(4, &dir)
     };
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    let out = run(&data, &cfg);
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, vec![1, 3]);
     assert!(out.report.per_rank[1].died && out.report.per_rank[3].died);
@@ -131,8 +150,8 @@ fn multiple_deaths_still_complete() {
 
 #[test]
 fn killing_rank_zero_is_refused_by_the_plan() {
-    let st = states(6, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(6, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("kill-zero");
     // kill_rank(0, _) is a refused no-op: the coordinator cannot be
     // chaos-killed, so the run completes with no deaths.
@@ -140,7 +159,7 @@ fn killing_rank_zero_is_refused_by_the_plan() {
         chaos: FaultPlan::new(14).kill_rank(0, 0).arm(),
         ..drill_config(2, &dir)
     };
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    let out = run(&data, &cfg);
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, Vec::<usize>::new());
     let _ = std::fs::remove_dir_all(&dir);
@@ -148,10 +167,10 @@ fn killing_rank_zero_is_refused_by_the_plan() {
 
 #[test]
 fn single_rank_world_needs_no_protocol() {
-    let st = states(7, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(7, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("solo");
-    let out = rank_distributed_gram(&st, &CpuBackend::new(), &drill_config(1, &dir));
+    let out = run(&data, &drill_config(1, &dir));
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.per_rank.len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
@@ -159,14 +178,33 @@ fn single_rank_world_needs_no_protocol() {
 
 #[test]
 fn second_run_restores_from_rank_checkpoints() {
-    let st = states(9, 3);
-    let clean = clean_kernel(&st);
+    let data = rows(9, 3);
+    let clean = clean_kernel(&data);
     let dir = scratch("warm");
     let cfg = drill_config(3, &dir);
-    rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    run(&data, &cfg);
     // Same root, same spec: every rank restores its tiles instead of
     // recomputing, and the kernel is unchanged.
-    let again = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    let again = run(&data, &cfg);
     assert_eq!(again.kernel.data(), clean.as_slice());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn jobs_with_different_ansatze_do_not_share_checkpoints() {
+    let data = rows(9, 3);
+    let dir = scratch("foreign");
+    let cfg = drill_config(3, &dir);
+    run(&data, &cfg);
+    // Same root, rows, n and tile, different encoding: the second job
+    // must not restore the first one's tiles.
+    let other = AnsatzConfig::new(2, 1, 0.3);
+    let be = CpuBackend::new();
+    let out = rank_distributed_gram(&data, &other, &be, &TruncationConfig::default(), &cfg);
+    let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(out.kernel.data()),
+        bits(&clean_kernel_with(&data, &other))
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

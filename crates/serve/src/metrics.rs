@@ -8,7 +8,7 @@
 //! constant-size while still resolving the tail percentiles the
 //! serving story cares about; quantiles report a bucket's upper edge
 //! (clamped to the true maximum), i.e. p99 is never under-reported.
-//! Follows the `core::timing` convention of measuring durations with
+//! Follows the `qk_gram::timing` convention of measuring durations with
 //! monotonic instants and reporting `Duration`s.
 
 use crate::cache::CacheStats;

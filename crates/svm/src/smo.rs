@@ -13,7 +13,6 @@
 //! and an error cache keeps each update O(n).
 
 use crate::kernel::KernelSource;
-use qk_obs::{Journal, Obs};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -132,21 +131,19 @@ pub fn train_svc<K: KernelSource + ?Sized>(
     labels: &[f64],
     params: &SmoParams,
 ) -> TrainedSvm {
-    train_impl(kernel, labels, params, None)
-}
-
-/// [`train_svc`] with observability: SMO registers `svm.*` counters and
-/// spans in `obs`, and (when a journal is given) records start / pass /
-/// done milestones. Instrumentation only observes the solver — the
-/// trained model is bit-identical to an unobserved [`train_svc`] run.
-pub fn train_svc_observed<K: KernelSource + ?Sized>(
-    kernel: &K,
-    labels: &[f64],
-    params: &SmoParams,
-    obs: &Obs,
-    journal: Option<&Journal>,
-) -> TrainedSvm {
-    train_impl(kernel, labels, params, Some((obs, journal)))
+    let n = kernel.order();
+    validate_inputs(n, labels, params);
+    let mut st = SmoState::fresh(labels, params.seed);
+    while st.should_continue(params) {
+        let changed = match pass_over(labels, params.c, params.tol, &mut st, |i, j| {
+            Ok::<_, std::convert::Infallible>((kernel.row(i), kernel.row(j)))
+        }) {
+            Ok(changed) => changed,
+            Err(never) => match never {},
+        };
+        st.record_pass(changed);
+    }
+    st.into_model(labels)
 }
 
 /// Validates the training problem up front with clear panic messages.
@@ -295,68 +292,6 @@ where
         }
     }
     Ok(changed)
-}
-
-fn train_impl<K: KernelSource + ?Sized>(
-    kernel: &K,
-    labels: &[f64],
-    params: &SmoParams,
-    hooks: Option<(&Obs, Option<&Journal>)>,
-) -> TrainedSvm {
-    let n = kernel.order();
-    validate_inputs(n, labels, params);
-
-    let _train_span = hooks.map(|(obs, _)| obs.span("smo_train"));
-    let counters = hooks.map(|(obs, _)| {
-        (
-            obs.counter("svm.smo_passes"),
-            obs.counter("svm.smo_updates"),
-        )
-    });
-    if let Some((_, Some(journal))) = hooks {
-        journal
-            .event("smo_start")
-            .field_u64("n", n as u64)
-            .field_u64("seed", params.seed)
-            .log();
-    }
-
-    let mut st = SmoState::fresh(labels, params.seed);
-
-    while st.should_continue(params) {
-        let _pass_span = hooks.map(|(obs, _)| obs.span("pass"));
-        let changed = match pass_over(labels, params.c, params.tol, &mut st, |i, j| {
-            Ok::<_, std::convert::Infallible>((kernel.row(i), kernel.row(j)))
-        }) {
-            Ok(changed) => changed,
-            Err(never) => match never {},
-        };
-        st.record_pass(changed);
-        if let Some((passes, updates)) = &counters {
-            passes.inc();
-            updates.add(changed as u64);
-        }
-        if let Some((_, Some(journal))) = hooks {
-            journal
-                .event("smo_pass")
-                .field_u64("pass", st.total_passes as u64)
-                .field_u64("changed", changed as u64)
-                .log();
-        }
-    }
-
-    let model = st.into_model(labels);
-    if let Some((_, Some(journal))) = hooks {
-        journal
-            .event("smo_done")
-            .field_u64("passes", model.passes as u64)
-            .field_u64("support_vectors", model.support_indices().len() as u64)
-            .log();
-        if let Err(e) = journal.flush() {
-            eprintln!("qk-svm: journal flush failed: {e}");
-        }
-    }
-    model
 }
 
 /// Chooses the second working-set index.
@@ -724,29 +659,5 @@ mod tests {
     fn nonpositive_c_panics() {
         let k = linear_kernel(&[vec![-1.0], vec![1.0]]);
         train_svc(&k, &[-1.0, 1.0], &SmoParams::with_c(0.0));
-    }
-
-    /// Instrumentation must observe the solver, never steer it: the
-    /// observed path trains a bit-identical model, and the milestone
-    /// counters land in the shared registry.
-    #[test]
-    fn observed_training_is_bitwise_identical() {
-        let pts: Vec<Vec<f64>> = (0..12)
-            .map(|i| vec![(i as f64) - 5.5, ((i * 3) % 7) as f64 / 2.0])
-            .collect();
-        let y: Vec<f64> = (0..12)
-            .map(|i| if (i * 5) % 3 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let k = linear_kernel(&pts);
-        let params = SmoParams::with_c(1.5);
-        let plain = train_svc(&k, &y, &params);
-        let obs = Obs::new();
-        let observed = train_svc_observed(&k, &y, &params, &obs, None);
-        assert_eq!(plain.alphas, observed.alphas);
-        assert_eq!(plain.bias.to_bits(), observed.bias.to_bits());
-        assert_eq!(plain.passes, observed.passes);
-        let snap = obs.registry_snapshot();
-        assert_eq!(snap.counters["svm.smo_passes"], plain.passes as u64);
-        assert!(snap.counters.contains_key("svm.smo_updates"));
     }
 }

@@ -14,8 +14,8 @@
 use qk_circuit::AnsatzConfig;
 use qk_core::extrapolate::{forecast_inference, forecast_training, PrimitiveCosts};
 use qk_core::inference::QuantumKernelModel;
-use qk_core::Strategy;
 use qk_data::{generate, prepare_experiment, SyntheticConfig};
+use qk_gram::Strategy;
 use qk_mps::TruncationConfig;
 use qk_svm::SmoParams;
 use qk_tensor::backend::CpuBackend;

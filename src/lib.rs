@@ -9,10 +9,10 @@
 //! 2. [`circuit`] — the IQP-style feature-map ansatz and circuit tooling;
 //! 3. [`mps`] / [`statevector`] — matrix-product-state simulation and the
 //!    dense ground-truth simulator;
-//! 4. [`core`] — Gram-matrix assembly, distribution strategies,
-//!    inference;
+//! 4. [`core`] — Gram-matrix assembly, inference, cost forecasts;
 //! 5. [`gram`] — the out-of-core tiled Gram engine with
-//!    checkpoint/resume and state spill;
+//!    checkpoint/resume and state spill, and the multi-rank driver
+//!    that runs the paper's distribution strategies;
 //! 6. [`svm`] — kernel SVM training (SMO), calibration, metrics;
 //! 7. [`serve`] — concurrent batched-inference serving with an MPS
 //!    encoding cache and hot-swappable model versions;

@@ -8,8 +8,8 @@ use qk_core::extrapolate::{forecast_training, PrimitiveCosts};
 use qk_core::inference::QuantumKernelModel;
 use qk_core::pipeline::{run_quantum_on_split, ExperimentConfig};
 use qk_core::truncation_study::{run_truncation_study, TruncationStudyConfig};
-use qk_core::Strategy;
 use qk_data::{generate, prepare_experiment, SyntheticConfig};
+use qk_gram::Strategy;
 use qk_mps::TruncationConfig;
 use qk_svm::SmoParams;
 use qk_tensor::backend::CpuBackend;

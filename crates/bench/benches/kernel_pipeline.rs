@@ -22,7 +22,7 @@ fn bench_gram_assembly(c: &mut Criterion) {
     for &n in &[16usize, 32, 64] {
         let rows = sample_rows(n, 16, 61);
         let states = simulate_states(&rows, &ansatz, &cpu, &tc).states;
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("gram_matrix", n), &n, |bch, _| {
             bch.iter(|| gram_matrix(&states, &cpu));
         });
     }

@@ -16,10 +16,10 @@
 //! measured [`qk_gram::rank_distributed_gram`] run so a forecast can be
 //! checked against the run that produced it.
 
-use crate::states::simulate_states_serial;
+use qk_circuit::ansatz::feature_map_circuit;
 use qk_circuit::AnsatzConfig;
 use qk_gram::{RankReport, Strategy};
-use qk_mps::TruncationConfig;
+use qk_mps::{MpsSimulator, TruncationConfig};
 use qk_tensor::backend::ExecutionBackend;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -65,14 +65,25 @@ impl PrimitiveCosts {
             sample.len() >= 2,
             "need at least two rows to time inner products"
         );
-        let batch = simulate_states_serial(sample, ansatz, backend, truncation);
-        let simulation = batch.total_simulation_time().div_f64(sample.len() as f64);
+        // One state at a time on this thread: the model wants one core's
+        // cost per state, which states simulated side by side (contending
+        // for caches and memory bandwidth) would overstate.
+        let sim = MpsSimulator::new(backend).with_truncation(*truncation);
+        let (states, records): (Vec<_>, Vec<_>) = sample
+            .iter()
+            .map(|x| sim.simulate(&feature_map_circuit(x, ansatz)))
+            .unzip();
+        let simulation = records
+            .iter()
+            .map(|r| r.duration)
+            .sum::<Duration>()
+            .div_f64(sample.len() as f64);
 
         let t0 = Instant::now();
         let mut pairs = 0u32;
-        for i in 0..batch.states.len() {
-            for j in (i + 1)..batch.states.len() {
-                let _ = batch.states[i].inner_with(backend, &batch.states[j]);
+        for i in 0..states.len() {
+            for j in (i + 1)..states.len() {
+                let _ = states[i].inner_with(backend, &states[j]);
                 pairs += 1;
             }
         }
@@ -80,11 +91,11 @@ impl PrimitiveCosts {
 
         // Serialization round-trip cost stands in for one state transfer.
         let t0 = Instant::now();
-        for s in &batch.states {
+        for s in &states {
             let bytes = s.to_bytes();
             let _ = qk_mps::Mps::from_bytes(&bytes);
         }
-        let communication_per_state = t0.elapsed() / batch.states.len() as u32;
+        let communication_per_state = t0.elapsed() / states.len() as u32;
 
         PrimitiveCosts {
             simulation,

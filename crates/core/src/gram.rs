@@ -16,7 +16,7 @@ use qk_gram::{GramConfig, GramEngine};
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_svm::{KernelBlock, KernelMatrix};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
+use qk_tensor::executor;
 use std::time::{Duration, Instant};
 
 /// Problem size (states for [`gram_matrix`], total entries for
@@ -66,23 +66,21 @@ pub fn gram_matrix(states: &[Mps], backend: &dyn ExecutionBackend) -> TimedKerne
         };
     }
     // Small-N fast path: each row of the dense buffer is an independent
-    // chunk; row i computes its strict upper triangle in place, then a
-    // cheap serial pass mirrors the triangle. Peak memory is the matrix
-    // itself. One zipper workspace per row chunk amortizes the kernel's
+    // executor item; row i computes its strict upper triangle in place,
+    // then a cheap serial pass mirrors the triangle. Peak memory is the
+    // matrix itself. One zipper workspace per row amortizes the kernel's
     // environment buffers across the whole row of inner products.
     let total = n * n.saturating_sub(1) / 2;
     let mut data = vec![0.0f64; n * n];
-    data.par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(i, row)| {
-            let mut ws = ZipperWorkspace::new();
-            row[i] = 1.0;
-            for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-                *slot = states[i]
-                    .inner_into(&mut ws, backend, &states[j])
-                    .norm_sqr();
-            }
-        });
+    executor::for_each(data.chunks_mut(n.max(1)).enumerate(), |(i, row)| {
+        let mut ws = ZipperWorkspace::new();
+        row[i] = 1.0;
+        for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
+            *slot = states[i]
+                .inner_into(&mut ws, backend, &states[j])
+                .norm_sqr();
+        }
+    });
     for i in 0..n {
         for j in (i + 1)..n {
             data[j * n + i] = data[i * n + j];
@@ -156,16 +154,15 @@ pub fn kernel_block(
             inner_products: out.report.inner_products,
         };
     }
-    // One workspace per test row, reused across its whole train sweep.
-    let data: Vec<f64> = test_states
-        .par_iter()
-        .flat_map_iter(|t| {
-            let mut ws = ZipperWorkspace::new();
-            train_states
-                .iter()
-                .map(move |s| t.inner_into(&mut ws, backend, s).norm_sqr())
-        })
-        .collect();
+    // One executor item and one workspace per test row, reused across
+    // its whole train sweep.
+    let mut data = vec![0.0f64; entries];
+    executor::for_each(data.chunks_mut(cols.max(1)).zip(test_states), |(row, t)| {
+        let mut ws = ZipperWorkspace::new();
+        for (slot, s) in row.iter_mut().zip(train_states) {
+            *slot = t.inner_into(&mut ws, backend, s).norm_sqr();
+        }
+    });
     TimedBlock {
         block: KernelBlock::from_dense(test_states.len(), cols, data),
         wall_time: start.elapsed(),

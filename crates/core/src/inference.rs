@@ -18,7 +18,7 @@ use qk_circuit::{route_for_mps, AnsatzConfig};
 use qk_mps::{Mps, MpsDecodeError, MpsSimulator, TruncationConfig, ZipperWorkspace};
 use qk_svm::{fit_platt, train_svc, KernelBlock, PlattCalibration, SmoParams, TrainedSvm};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
+use qk_tensor::executor;
 use std::time::{Duration, Instant};
 
 /// Timing breakdown of one prediction (the paper's inference cost
@@ -144,10 +144,9 @@ impl QuantumKernelModel {
     /// training state, computed in parallel (the paper distributes
     /// exactly this loop over its ranks).
     pub fn kernel_row(&self, state: &Mps, backend: &dyn ExecutionBackend) -> Vec<f64> {
-        self.train_states
-            .par_iter()
-            .map(|s| state.inner_with(backend, s).norm_sqr())
-            .collect()
+        executor::map(&self.train_states, |s| {
+            state.inner_with(backend, s).norm_sqr()
+        })
     }
 
     /// [`QuantumKernelModel::kernel_row`] into a caller-held zipper
@@ -217,14 +216,14 @@ impl QuantumKernelModel {
         let data: Vec<f64> = if states.len() == 1 {
             self.kernel_row(states[0], backend)
         } else {
-            states
-                .par_iter()
-                .flat_map_iter(|t| {
-                    self.train_states
-                        .iter()
-                        .map(move |s| t.inner_with(backend, s).norm_sqr())
-                })
-                .collect()
+            let cols = self.train_states.len();
+            let mut data = vec![0.0f64; states.len() * cols];
+            executor::for_each(data.chunks_mut(cols).zip(states), |(row, t)| {
+                for (slot, s) in row.iter_mut().zip(&self.train_states) {
+                    *slot = t.inner_with(backend, s).norm_sqr();
+                }
+            });
+            data
         };
         let block = KernelBlock::from_dense(states.len(), self.train_states.len(), data);
         let share = t0.elapsed() / states.len() as u32;

@@ -52,7 +52,7 @@ pub use pipeline::{
     ExperimentConfig, ExperimentResult, PipelineTimings,
 };
 pub use projected::{projected_block, projected_feature_batch, projected_gram};
-pub use states::{simulate_states, simulate_states_serial, StateBatch};
+pub use states::{simulate_states, StateBatch};
 pub use truncation_study::{
     run_truncation_study, TruncationPoint, TruncationStudy, TruncationStudyConfig,
 };

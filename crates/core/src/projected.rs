@@ -19,7 +19,7 @@ use qk_circuit::AnsatzConfig;
 use qk_mps::TruncationConfig;
 use qk_svm::{KernelBlock, KernelMatrix};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
+use qk_tensor::executor;
 
 /// Projected features (`3m` Pauli expectations per row) for a batch.
 pub fn projected_feature_batch(
@@ -29,11 +29,7 @@ pub fn projected_feature_batch(
     truncation: &TruncationConfig,
 ) -> Vec<Vec<f64>> {
     let batch = simulate_states(rows, ansatz, backend, truncation);
-    batch
-        .states
-        .into_par_iter()
-        .map(|mut s| s.projected_features())
-        .collect()
+    executor::map(batch.states, |mut s| s.projected_features())
 }
 
 /// Bandwidth heuristic for the projected kernel: `1 / (dim * var)` over

@@ -2,13 +2,13 @@
 //!
 //! This is the linear-in-N half of the paper's decomposition (Section I):
 //! `N` MPS simulations, embarrassingly parallel, followed by `O(N^2)`
-//! cheap inner products. States are simulated with rayon fan-out and the
-//! chosen execution backend.
+//! cheap inner products. States are simulated on every core through
+//! `qk_tensor::executor`, with the chosen execution backend.
 
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_mps::{Mps, MpsSimulator, SimRecord, TruncationConfig};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
+use qk_tensor::executor;
 use std::time::{Duration, Instant};
 
 /// Output of a batched state-preparation run.
@@ -49,7 +49,9 @@ impl StateBatch {
     }
 }
 
-/// Simulates the feature-map circuit for every row, in parallel.
+/// Simulates the feature-map circuit for every row, in parallel on the
+/// [`executor`]. States come back in input order and are bitwise equal
+/// to a serial loop's.
 pub fn simulate_states(
     rows: &[Vec<f64>],
     ansatz: &AnsatzConfig,
@@ -57,16 +59,20 @@ pub fn simulate_states(
     truncation: &TruncationConfig,
 ) -> StateBatch {
     let start = Instant::now();
-    let results: Vec<(Mps, SimRecord)> = rows
-        .par_iter()
-        .map(|x| {
-            let circuit = feature_map_circuit(x, ansatz);
-            MpsSimulator::new(backend)
-                .with_truncation(*truncation)
-                .simulate(&circuit)
-        })
-        .collect();
-    let (states, records): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let mut done: Vec<Option<(Mps, SimRecord)>> = (0..rows.len()).map(|_| None).collect();
+    executor::stream(
+        rows,
+        |x| simulate_one(x, ansatz, backend, truncation),
+        // A state built on a helper thread lives in that thread's malloc
+        // arena. Copying it here, on arrival, puts every kept state in
+        // the caller's arena and leaves the helpers' arenas free for
+        // reuse, instead of pinning a share of the batch in each.
+        |i, (state, record)| done[i] = Some((state.clone(), record)),
+    );
+    let (states, records) = done
+        .into_iter()
+        .map(|r| r.expect("the executor yields one state per row"))
+        .unzip();
     StateBatch {
         states,
         records,
@@ -74,29 +80,16 @@ pub fn simulate_states(
     }
 }
 
-/// Serial variant used inside explicitly-threaded distribution strategies
-/// (each simulated "process" is already a thread of its own).
-pub fn simulate_states_serial(
-    rows: &[Vec<f64>],
+fn simulate_one(
+    x: &[f64],
     ansatz: &AnsatzConfig,
     backend: &dyn ExecutionBackend,
     truncation: &TruncationConfig,
-) -> StateBatch {
-    let start = Instant::now();
-    let (states, records): (Vec<_>, Vec<_>) = rows
-        .iter()
-        .map(|x| {
-            let circuit = feature_map_circuit(x, ansatz);
-            MpsSimulator::new(backend)
-                .with_truncation(*truncation)
-                .simulate(&circuit)
-        })
-        .unzip();
-    StateBatch {
-        states,
-        records,
-        wall_time: start.elapsed(),
-    }
+) -> (Mps, SimRecord) {
+    let circuit = feature_map_circuit(x, ansatz);
+    MpsSimulator::new(backend)
+        .with_truncation(*truncation)
+        .simulate(&circuit)
 }
 
 #[cfg(test)]
@@ -129,13 +122,27 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
+        // Byte-equal to a serial map at 0 rows, 1 row and more rows than
+        // workers. Row widths vary from 2 to 8 qubits, so per-row cost is
+        // uneven and helpers finish out of input order.
         let be = CpuBackend::new();
         let cfg = AnsatzConfig::new(2, 2, 0.8);
         let tc = TruncationConfig::default();
-        let par = simulate_states(&rows(), &cfg, &be, &tc);
-        let ser = simulate_states_serial(&rows(), &cfg, &be, &tc);
-        for (a, b) in par.states.iter().zip(&ser.states) {
-            assert!((a.overlap_sqr(b) - 1.0).abs() < 1e-9);
+        let many: Vec<Vec<f64>> = (0..3 * executor::workers() + 2)
+            .map(|i| {
+                (0..2 + (i * 5) % 7)
+                    .map(|j| ((i * 3 + j) % 7) as f64 * 0.28)
+                    .collect()
+            })
+            .collect();
+        for rows in [&many[..0], &many[..1], &many[..]] {
+            let par = simulate_states(rows, &cfg, &be, &tc);
+            let ser: Vec<Vec<u8>> = rows
+                .iter()
+                .map(|x| simulate_one(x, &cfg, &be, &tc).0.to_bytes())
+                .collect();
+            let par: Vec<Vec<u8>> = par.states.iter().map(Mps::to_bytes).collect();
+            assert_eq!(par, ser, "{} rows", rows.len());
         }
     }
 

@@ -5,11 +5,13 @@
 //! * [`complex`] — `Complex64` scalar type.
 //! * [`tensor`] — row-major dense tensors with reshape/permute (the paper's
 //!   eq. 7 bijection is a free reshape).
-//! * [`matrix`] — GEMM kernels (serial and rayon-parallel) and helpers.
+//! * [`matrix`] — GEMM kernels (serial and row-parallel) and helpers.
 //! * [`mod@contract`] — pairwise tensor contraction (eq. 6).
 //! * [`qr`] — Householder QR/LQ for MPS canonicalization.
-//! * [`mod@svd`] — one-sided Jacobi SVD (serial and parallel) plus the
-//!   two-qubit-gate operator-Schmidt split.
+//! * [`mod@svd`] — one-sided Jacobi SVD (cyclic and round-robin orderings)
+//!   plus the two-qubit-gate operator-Schmidt split.
+//! * [`executor`] — the workspace's one parallel executor: independent
+//!   items fanned out over every core, results in input order.
 //! * [`backend`] — the CPU vs simulated-accelerator execution split behind
 //!   the paper's Fig. 5 crossover study.
 //!
@@ -20,6 +22,7 @@
 pub mod backend;
 pub mod complex;
 pub mod contract;
+pub mod executor;
 pub mod matrix;
 pub mod qr;
 pub mod svd;

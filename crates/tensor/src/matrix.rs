@@ -27,11 +27,11 @@
 //! one). The Gram engine's bitwise-reproducibility pins rest on this.
 
 use crate::complex::Complex64;
-use rayon::prelude::*;
+use crate::executor;
 use std::cell::RefCell;
 
-/// Minimum `m * k * n` below which [`gemm_auto`] stays serial: rayon's
-/// fork-join overhead dominates under roughly a microsecond of work.
+/// Minimum `m * k * n` below which [`gemm_auto`] stays serial: spawning
+/// the executor's threads costs more than the product itself.
 pub const PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Register-tile rows (`C` rows held in accumulators at once).
@@ -58,9 +58,10 @@ fn use_blocked(m: usize, k: usize, n: usize) -> bool {
 }
 
 thread_local! {
-    /// Packing panels (planar re/im for A and B), grown once per thread
-    /// and reused by every blocked GEMM on that thread: the inner-product
-    /// hot path calls GEMM millions of times and must not allocate.
+    /// Packing panels (planar re/im for A and B), grown per thread to the
+    /// largest blocked GEMM it has run and reused by every later one: the
+    /// inner-product hot path calls GEMM millions of times and must not
+    /// allocate.
     static PACK: RefCell<PackBufs> = const {
         RefCell::new(PackBufs {
             a_re: Vec::new(),
@@ -79,9 +80,16 @@ struct PackBufs {
 }
 
 impl PackBufs {
-    fn ensure(&mut self) {
-        let a_len = MC * KC;
-        let b_len = NC * KC;
+    /// Grows the panels to what an `m x k x n` product packs: at most
+    /// `MC` rows (rounded up to whole `MR` strips) by `KC` of A, and `NC`
+    /// columns (whole `NR` strips) by `KC` of B. A small product on a
+    /// fresh thread never zero-fills the full-size panels. Stale lanes
+    /// past the packed extent are never read: the pack routines write
+    /// every lane of every strip they fill, padding included.
+    fn ensure(&mut self, m: usize, k: usize, n: usize) {
+        let kc = k.min(KC);
+        let a_len = m.min(MC).next_multiple_of(MR) * kc;
+        let b_len = n.min(NC).next_multiple_of(NR) * kc;
         if self.a_re.len() < a_len {
             self.a_re.resize(a_len, 0.0);
             self.a_im.resize(a_len, 0.0);
@@ -121,7 +129,7 @@ fn gemm_into(m: usize, k: usize, n: usize, a: &[Complex64], b: &[Complex64], c: 
     }
 }
 
-/// `c = a * b`, rows of `c` computed in parallel with rayon.
+/// `c = a * b`, one chunk of rows of `c` per [`executor`] worker.
 ///
 /// Row chunks run the same per-element accumulation as [`gemm_serial`],
 /// so the result is bitwise identical at any worker count.
@@ -134,18 +142,19 @@ pub fn gemm_parallel(
     c: &mut [Complex64],
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    if m == 0 {
+    if m == 0 || n == 0 {
         return;
     }
-    let rows_per_chunk = m.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    c.par_chunks_mut(rows_per_chunk * n)
-        .enumerate()
-        .for_each(|(chunk, c_rows)| {
+    let rows_per_chunk = m.div_ceil(executor::workers());
+    executor::for_each(
+        c.chunks_mut(rows_per_chunk * n).enumerate(),
+        |(chunk, c_rows)| {
             let i0 = chunk * rows_per_chunk;
             let rows = c_rows.len() / n;
             c_rows.fill(Complex64::ZERO);
             gemm_into(rows, k, n, &a[i0 * k..(i0 + rows) * k], b, c_rows);
-        });
+        },
+    );
 }
 
 /// `c = a * b`, choosing serial or parallel by problem size.
@@ -234,7 +243,7 @@ fn gemm_blocked(
 ) {
     PACK.with(|bufs| {
         let bufs = &mut *bufs.borrow_mut();
-        bufs.ensure();
+        bufs.ensure(m, k, n);
         let mut jc = 0;
         while jc < n {
             let nc = NC.min(n - jc);

@@ -201,13 +201,16 @@ fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
     finalize_svd(m, n, k, cols, vcols)
 }
 
-/// Computes the thin SVD with Jacobi rotation rounds executed in parallel.
+/// Computes the thin SVD with the round-robin ("parallel") Jacobi
+/// ordering.
 ///
 /// Uses a round-robin tournament schedule: each round pairs every column
 /// with exactly one partner, so the `n/2` rotations of a round touch
-/// disjoint column pairs and can run concurrently. Columns are guarded by
-/// per-column mutexes; pairs are disjoint within a round, so locks are
-/// uncontended and exist only to satisfy the borrow checker cheaply.
+/// disjoint column pairs. They could run concurrently, but at MPS bond
+/// dimensions one rotation is too short to pay for a thread hand-off,
+/// so they run in order on the calling thread; since the pairs are
+/// disjoint, any order gives the same bits. The ordering differs from
+/// [`svd`]'s cyclic one, so the two agree to rounding, not bitwise.
 pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
     if m < n {
@@ -242,18 +245,15 @@ pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
         };
     }
 
-    use parking_lot::Mutex;
-    use rayon::prelude::*;
-
     let k = n;
-    let cols: Vec<Mutex<Vec<Complex64>>> = (0..n)
-        .map(|j| Mutex::new((0..m).map(|i| a[i * n + j]).collect()))
+    let mut cols: Vec<Vec<Complex64>> = (0..n)
+        .map(|j| (0..m).map(|i| a[i * n + j]).collect())
         .collect();
-    let vcols: Vec<Mutex<Vec<Complex64>>> = (0..n)
+    let mut vcols: Vec<Vec<Complex64>> = (0..n)
         .map(|j| {
             let mut col = vec![Complex64::ZERO; n];
             col[j] = Complex64::ONE;
-            Mutex::new(col)
+            col
         })
         .collect();
 
@@ -264,54 +264,42 @@ pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
         for round in 0..rounds {
-            let pairs: Vec<(usize, usize)> = (0..slots / 2)
-                .filter_map(|p| {
-                    let (x, y) = circle_pair(slots, round, p);
-                    let (lo, hi) = (x.min(y), x.max(y));
-                    (hi < n).then_some((lo, hi))
-                })
-                .collect();
-            let any: Vec<bool> = pairs
-                .par_iter()
-                .map(|&(i, j)| {
-                    let mut ci = cols[i].lock();
-                    let mut cj = cols[j].lock();
-                    let alpha: f64 = ci.iter().map(|z| z.norm_sqr()).sum();
-                    let beta: f64 = cj.iter().map(|z| z.norm_sqr()).sum();
-                    if alpha == 0.0 && beta == 0.0 {
-                        return false;
-                    }
-                    let mut gamma_c = Complex64::ZERO;
-                    for (x, y) in ci.iter().zip(cj.iter()) {
-                        gamma_c = gamma_c.conj_mul_add(*x, *y);
-                    }
-                    let gamma = gamma_c.norm();
-                    if gamma <= JACOBI_TOL * (alpha * beta).sqrt() || gamma < f64::MIN_POSITIVE {
-                        return false;
-                    }
-                    let phase = gamma_c / gamma;
-                    let tau = (beta - alpha) / (2.0 * gamma);
-                    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = c * t;
-                    let s_pos = phase * s;
-                    let s_neg = phase.conj() * s;
-                    rotate_slices(&mut ci, &mut cj, c, s_neg, s_pos);
-                    let mut vi = vcols[i].lock();
-                    let mut vj = vcols[j].lock();
-                    rotate_slices(&mut vi, &mut vj, c, s_neg, s_pos);
-                    true
-                })
-                .collect();
-            rotated |= any.iter().any(|&b| b);
+            for p in 0..slots / 2 {
+                let (x, y) = circle_pair(slots, round, p);
+                let (i, j) = (x.min(y), x.max(y));
+                if j >= n {
+                    continue;
+                }
+                let alpha: f64 = cols[i].iter().map(|z| z.norm_sqr()).sum();
+                let beta: f64 = cols[j].iter().map(|z| z.norm_sqr()).sum();
+                if alpha == 0.0 && beta == 0.0 {
+                    continue;
+                }
+                let mut gamma_c = Complex64::ZERO;
+                for (x, y) in cols[i].iter().zip(&cols[j]) {
+                    gamma_c = gamma_c.conj_mul_add(*x, *y);
+                }
+                let gamma = gamma_c.norm();
+                if gamma <= JACOBI_TOL * (alpha * beta).sqrt() || gamma < f64::MIN_POSITIVE {
+                    continue;
+                }
+                rotated = true;
+                let phase = gamma_c / gamma;
+                let tau = (beta - alpha) / (2.0 * gamma);
+                let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = c * t;
+                let s_pos = phase * s;
+                let s_neg = phase.conj() * s;
+                rotate_pair(&mut cols, i, j, c, s_neg, s_pos);
+                rotate_pair(&mut vcols, i, j, c, s_neg, s_pos);
+            }
         }
         if !rotated {
             break;
         }
     }
 
-    let cols: Vec<Vec<Complex64>> = cols.into_iter().map(|m| m.into_inner()).collect();
-    let vcols: Vec<Vec<Complex64>> = vcols.into_iter().map(|m| m.into_inner()).collect();
     finalize_svd(m, n, k, cols, vcols)
 }
 
@@ -361,23 +349,6 @@ fn finalize_svd(
         }
     }
     Svd { u, s, vh, m, n, k }
-}
-
-/// Applies the 2x2 column rotation to two column slices.
-#[inline]
-fn rotate_slices(
-    ci: &mut [Complex64],
-    cj: &mut [Complex64],
-    c: f64,
-    s_neg: Complex64,
-    s_pos: Complex64,
-) {
-    for (x, y) in ci.iter_mut().zip(cj.iter_mut()) {
-        let xi = *x;
-        let yj = *y;
-        *x = xi * c - s_neg * yj;
-        *y = s_pos * xi + yj * c;
-    }
 }
 
 /// Applies the 2x2 column rotation to columns `i` and `j` of `cols`:
